@@ -56,6 +56,7 @@ from repro.kernels.cc import CcSpec
 from repro.kernels.computation import INF, UNSET_LEVEL
 from repro.kernels.frame import BfsSpec, SsspSpec, TraversalResult
 from repro.obs.context import current_observer, observing
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "IncrementalResult",
@@ -167,7 +168,7 @@ def _unique_concat(parts) -> np.ndarray:
     parts = [np.asarray(p, dtype=np.int64) for p in parts if len(p)]
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return sorted_unique(np.concatenate(parts))
 
 
 def _cc_seed(prev: np.ndarray, delta: MutationDelta, num_nodes: int):
@@ -234,7 +235,7 @@ def _distance_seed(
         else:
             dw = delta.del_weight
             tight = np.isfinite(values[du]) & (values[dv] == values[du] + dw)
-        wave = np.unique(dv[tight])
+        wave = sorted_unique(dv[tight])
         wave = wave[wave != source]
         while wave.size:
             affected[wave] = True
@@ -253,7 +254,7 @@ def _distance_seed(
                 )
             nxt = dst[step_tight]
             nxt = nxt[(~affected[nxt]) & (nxt != source)]
-            wave = np.unique(nxt)
+            wave = sorted_unique(nxt)
         reset_nodes = np.flatnonzero(affected)
         values[reset_nodes] = unset
 
@@ -264,7 +265,7 @@ def _distance_seed(
         src_all = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
         host_edges += int(cols.size)
         pick = affected[cols] & ~affected[src_all] & (values[src_all] != unset)
-        parts.append(np.unique(src_all[pick]))
+        parts.append(sorted_unique(src_all[pick]))
     if delta.num_inserts:
         # Inserted edges only shorten paths, and (u, v) can only move
         # the fixed point through the one new relaxation u -> v: seed u
@@ -282,7 +283,7 @@ def _distance_seed(
             # are judged with the traversal's own arithmetic.
             iw = delta.ins_weight.astype(np.float32)
             improves = np.isfinite(values[iu]) & (values[iv] > values[iu] + iw)
-        parts.append(np.unique(iu[improves]))
+        parts.append(sorted_unique(iu[improves]))
     frontier = _unique_concat(parts)
     return values, frontier, int(affected.sum()), host_edges
 

@@ -81,6 +81,7 @@ from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.checkpoint import CheckpointKeeper
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.watchdog import Watchdog
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["RECOVERY_RUNGS", "RecoveryEvent", "ShardedResult", "run_sharded"]
 
@@ -734,7 +735,7 @@ def _execute_round(
     for run, updated, _ in proposals:
         owners = np.searchsorted(bounds, updated, side="right") - 1
         src_dev = run.device_index
-        for owner_index in np.unique(owners):
+        for owner_index in sorted_unique(owners):
             owner_run = runs[int(owner_index)]
             if owner_run.shard.shard_index == run.shard.shard_index:
                 continue

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph, INDEX_DTYPE, OFFSET_DTYPE
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["PARTITION_STRATEGIES", "GraphShard", "partition_graph", "reassemble"]
 
@@ -193,7 +194,7 @@ def partition_graph(
             name=f"{graph.name}[shard {index}/{num_shards}]",
             validate=False,
         )
-        ghosts = np.unique(cols[(cols < start) | (cols >= stop)]).astype(
+        ghosts = sorted_unique(cols[(cols < start) | (cols >= stop)]).astype(
             INDEX_DTYPE, copy=False
         )
         shards.append(

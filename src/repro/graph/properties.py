@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.stats import Histogram, degree_histogram_bins, histogram
 
@@ -109,7 +110,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
             break
         idx = _ragged_gather_indices(starts, ends)
         neigh = cols[idx]
-        fresh = np.unique(neigh[levels[neigh] == -1])
+        fresh = sorted_unique(neigh[levels[neigh] == -1])
         if fresh.size == 0:
             break
         levels[fresh] = level
@@ -180,8 +181,8 @@ def is_symmetric(graph: CSRGraph) -> bool:
     n = graph.num_nodes
     src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
     dst = graph.col_indices.astype(np.int64)
-    fwd = np.unique(src * n + dst)
-    bwd = np.unique(dst * n + src)
+    fwd = sorted_unique(src * n + dst)
+    bwd = sorted_unique(dst * n + src)
     return fwd.size == bwd.size and bool(np.array_equal(fwd, bwd))
 
 
@@ -200,7 +201,7 @@ def largest_out_component_node(graph: CSRGraph, *, samples: int = 8, seed: SeedL
     # almost surely inside the giant component.
     candidates = np.append(candidates, int(np.argmax(graph.out_degrees)))
     best_node, best_count = int(candidates[0]), -1
-    for cand in np.unique(candidates):
+    for cand in sorted_unique(candidates):
         count = reachable_count(graph, int(cand))
         if count > best_count:
             best_node, best_count = int(cand), count

@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "symmetrize",
@@ -92,7 +93,7 @@ def induced_subgraph(graph: CSRGraph, nodes) -> Tuple[CSRGraph, np.ndarray]:
     Returns ``(subgraph, kept)`` where ``kept[i]`` is the original id of
     the subgraph's node *i*.
     """
-    kept = np.unique(np.asarray(nodes, dtype=np.int64))
+    kept = sorted_unique(np.asarray(nodes, dtype=np.int64))
     if kept.size and (kept[0] < 0 or kept[-1] >= graph.num_nodes):
         raise GraphError("subgraph nodes out of range")
     inverse = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -167,7 +168,7 @@ def rank_oriented_adjacency(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
         # Dedupe on the (src, dst) pair and sort by (src, dst) so every
         # per-node neighbor slice comes out ascending.
         key = src * n + dst
-        key = np.unique(key)
+        key = sorted_unique(key)
         src, dst = key // n, key % n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])

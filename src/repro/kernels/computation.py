@@ -28,6 +28,7 @@ from repro.kernels import costs
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import Workset
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "StepResult",
@@ -297,7 +298,7 @@ def sssp_ordered_step(
 
     # Settle: nodes whose distance is still unset take the min key; stale
     # pairs (node already settled via a shorter path) are dropped.
-    fresh = np.unique(selected[~np.isfinite(state.dist[selected])])
+    fresh = sorted_unique(selected[~np.isfinite(state.dist[selected])])
     state.dist[fresh] = min_key
 
     improved_count = 0
@@ -348,7 +349,9 @@ def sssp_ordered_step(
         degrees=degrees_all,
         edge_cost=costs.C_EDGE_WEIGHTED,
         improved=improved_count,
-        updated_count=max(1, int(np.unique(ins_nodes).size)) if ins_nodes.size else 0,
+        updated_count=(
+            max(1, int(sorted_unique(ins_nodes).size)) if ins_nodes.size else 0
+        ),
         guard_cost=costs.C_PAIR_CHECK,
         weight_streams=1,
     )

@@ -43,6 +43,7 @@ from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import GEN_TPB, Workset
 from repro.obs.context import observing
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["kcore_peel_step", "KcoreSpec", "traverse_kcore", "run_kcore"]
 
@@ -81,7 +82,7 @@ def kcore_peel_step(
         np.subtract.at(degree, neigh, 1)
         crossed = before & (degree[neigh] < k)
         improved = int(crossed.sum())
-        candidates = np.unique(neigh[(degree[neigh] < k)])
+        candidates = sorted_unique(neigh[(degree[neigh] < k)])
         updated = candidates[alive[candidates]].astype(np.int64)
     else:
         updated = np.empty(0, dtype=np.int64)

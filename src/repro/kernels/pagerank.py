@@ -42,6 +42,7 @@ from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import Workset
 from repro.obs.context import observing
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["pagerank_step", "PagerankSpec", "traverse_pagerank", "run_pagerank"]
 
@@ -89,13 +90,13 @@ def pagerank_step(
         np.add.at(residual, dst, share)
         crossed = before & (residual[dst] >= tolerance)
         improved = int(crossed.sum())
-        updated = np.unique(dst[residual[dst] >= tolerance])
+        updated = sorted_unique(dst[residual[dst] >= tolerance])
     else:
         updated = np.empty(0, dtype=np.int64)
     # Frontier members whose residual was re-raised above tolerance by
     # their own neighbors within this sweep stay in the working set.
-    updated = np.union1d(
-        updated, frontier[residual[frontier] >= tolerance]
+    updated = sorted_unique(
+        np.concatenate([updated, frontier[residual[frontier] >= tolerance]])
     ).astype(np.int64)
 
     shape = ComputationShape(

@@ -35,7 +35,7 @@ from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
 from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import is_symmetric
+from repro.graph.properties import _ragged_gather_indices, is_symmetric
 from repro.graph.transforms import rank_oriented_adjacency, symmetrize
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostParams
@@ -86,12 +86,17 @@ class TrianglesSpec(AlgorithmSpec):
     def init_state(self, ctx: FrameContext) -> FrameState:
         n = ctx.graph.num_nodes
         indptr, indices = self._oriented
+        degrees = np.diff(indptr)
         first = np.arange(min(self.chunk, n), dtype=np.int64)
         return FrameState(
             np.zeros(n, dtype=np.int64),
             first,
             tri_indptr=indptr,
             tri_indices=indices,
+            tri_degrees=degrees,
+            # Sorted oriented edge keys u*n + w: the membership table
+            # that closes each wedge (indptr came from these keys).
+            tri_keys=np.repeat(np.arange(n, dtype=np.int64), degrees) * n + indices,
             cursor=int(first.size),
         )
 
@@ -103,27 +108,32 @@ class TrianglesSpec(AlgorithmSpec):
 
     def compute(self, ctx, state, variant, tpb) -> StepOutcome:
         indptr, indices = state.tri_indptr, state.tri_indices
+        degrees, keys = state.tri_degrees, state.tri_keys
         chunk_nodes = state.frontier
         n = ctx.graph.num_nodes
-        work_units = np.zeros(chunk_nodes.size, dtype=np.int64)
-        triangles = 0
-        comparisons = 0
-        for i, u in enumerate(chunk_nodes):
-            nbrs = indices[indptr[u] : indptr[u + 1]]
-            work = int(nbrs.size)
-            found = 0
-            for v in nbrs:
-                closing = indices[indptr[v] : indptr[v + 1]]
-                # Merge-path intersection: scan both sorted lists once.
-                work += int(nbrs.size + closing.size)
-                if closing.size:
-                    found += int(
-                        np.intersect1d(nbrs, closing, assume_unique=True).size
-                    )
-            state.values[u] = found
-            triangles += found
-            work_units[i] = work
-            comparisons += work
+        # Wedges (u, v, w) of the chunk: v in N+(u), then w in N+(v).
+        first_leg = _ragged_gather_indices(
+            indptr[chunk_nodes], indptr[chunk_nodes + 1]
+        )
+        v = indices[first_leg]
+        d_u = degrees[chunk_nodes]
+        d_v = degrees[v]
+        v_slot = np.repeat(np.arange(chunk_nodes.size), d_u)
+        second_leg = _ragged_gather_indices(indptr[v], indptr[v + 1])
+        w_slot = np.repeat(v_slot, d_v)
+        # A wedge closes when (u, w) is an oriented edge too.
+        wedge_keys = chunk_nodes[w_slot] * n + indices[second_leg]
+        pos = np.searchsorted(keys, wedge_keys)
+        closed = keys[np.minimum(pos, max(keys.size - 1, 0))] == wedge_keys
+        found = np.bincount(w_slot[closed], minlength=chunk_nodes.size)
+        state.values[chunk_nodes] = found
+        triangles = int(found.sum())
+        # Merge-path work per pivot: d_u to walk N+(u), plus one scan of
+        # both lists (d_u + d_v) for every v in N+(u).
+        ends = np.cumsum(d_u)
+        cum_d_v = np.concatenate([[0], np.cumsum(d_v)])
+        work_units = d_u * (1 + d_u) + cum_d_v[ends] - cum_d_v[ends - d_u]
+        comparisons = int(work_units.sum())
         next_chunk = np.arange(
             state.cursor, min(state.cursor + self.chunk, n), dtype=np.int64
         )

@@ -41,6 +41,7 @@ from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.scan import scan_tallies
 from repro.kernels import costs
 from repro.kernels.variants import WorksetRepr
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["Workset", "workset_gen_tallies", "GEN_TPB", "QUEUE_GEN_SCHEMES"]
 
@@ -90,7 +91,7 @@ class Workset:
         """Materialize the next working set from updated node ids."""
         arr = np.asarray(updated, dtype=np.int64).ravel()
         if arr.size > 1:
-            arr = np.unique(arr)
+            arr = sorted_unique(arr)
         return cls(nodes=arr, representation=representation)
 
 

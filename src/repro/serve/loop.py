@@ -202,6 +202,9 @@ class ServeLoop:
         #: barriers plus compaction work — keeps :attr:`sim_now`
         #: monotonic across frame rebuilds
         self._retired_sim_seconds = 0.0
+        #: timelines of the frames retired at mutation barriers (the
+        #: batch share of :attr:`_retired_sim_seconds`)
+        self._retired_frame_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Submission
@@ -242,6 +245,14 @@ class ServeLoop:
         timeline + fallback runs + compaction work."""
         batch = self._frame.timeline.total_seconds if self._frame else 0.0
         return self._retired_sim_seconds + batch + self.report.fallback_sim_seconds
+
+    @property
+    def batch_sim_seconds(self) -> float:
+        """Simulated seconds on the batch frames' timelines: every
+        step plus the admission uploads and value readbacks that
+        ``admit``/``take_finished`` charge to the same frames."""
+        live = self._frame.timeline.total_seconds if self._frame else 0.0
+        return self._retired_frame_seconds + live
 
     @property
     def busy(self) -> bool:
@@ -338,6 +349,7 @@ class ServeLoop:
         # before rebuilding it on the new graph.
         if self._frame is not None:
             self._retired_sim_seconds += self._frame.timeline.total_seconds
+            self._retired_frame_seconds += self._frame.timeline.total_seconds
             self._frame = None
         overlay = DeltaOverlayGraph(self.session.graph)
         deltas = []
@@ -426,15 +438,11 @@ class ServeLoop:
         return self._frame
 
     def _step_frame(self) -> bool:
-        before = self._frame.timeline.total_seconds
         if self.fault_injector is not None:
             with self.fault_injector.installed():
                 stepped = self._frame.step()
         else:
             stepped = self._frame.step()
-        self.report.batch_sim_seconds += (
-            self._frame.timeline.total_seconds - before
-        )
         self.report.super_iterations = self._frame.super_iterations
         return stepped
 
@@ -605,9 +613,10 @@ class ServeLoop:
     # ------------------------------------------------------------------
 
     def finalize(self) -> ServeReport:
-        """Freeze the report: admitted/shed totals, breaker snapshot
-        and transition history."""
+        """Freeze the report: admitted/shed totals, batch simulated
+        seconds, breaker snapshot and transition history."""
         self.report.admitted = self.queue.admitted_total
+        self.report.batch_sim_seconds = self.batch_sim_seconds
         self.report.shed = self.queue.shed_total
         self.report.breaker = self.breaker.snapshot()
         self.report.breaker_transitions = self.breaker.transition_log()

@@ -1,5 +1,7 @@
-"""Shared utilities: seeded RNG, table formatting, statistics, validation."""
+"""Shared utilities: seeded RNG, array primitives, table formatting,
+statistics, validation."""
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     Histogram,
@@ -19,6 +21,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "sorted_unique",
     "make_rng",
     "spawn_rngs",
     "Histogram",

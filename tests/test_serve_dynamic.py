@@ -167,6 +167,42 @@ class TestServeLoopMutations:
         loop.drain()
         assert loop.sim_now >= before
 
+    def test_batch_sim_seconds_is_the_frames_timelines(
+        self, random_weighted, monkeypatch
+    ):
+        from repro.engine import batch as batch_module
+
+        frames = []
+
+        class RecordingFrame(batch_module.BatchFrame):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                frames.append(self)
+
+        monkeypatch.setattr(batch_module, "BatchFrame", RecordingFrame)
+        loop = ServeLoop(
+            GraphSession(random_weighted), max_batch_rows=2, mutation_mode="lenient"
+        )
+        for line, (algorithm, source) in enumerate(
+            [("bfs", 0), ("sssp", 1), ("bfs", 2), ("sssp", 3)]
+        ):
+            loop.submit(BatchQuery(algorithm, source), line=line)
+        loop.pump()
+        loop.submit_mutation(EdgeBatch.inserts([(0, 150)], [0.5]))
+        loop.submit(BatchQuery("sssp", 5), line=4)
+        loop.drain()
+        report = loop.finalize()
+
+        assert len(frames) == 2  # one frame per epoch
+        # Steps, admission uploads and value readbacks alike.
+        assert report.batch_sim_seconds == sum(
+            frame.timeline.total_seconds for frame in frames
+        )
+        compaction = sum(e["compaction_seconds"] for e in report.mutation_events)
+        assert report.batch_sim_seconds + report.fallback_sim_seconds + compaction == (
+            pytest.approx(loop.sim_now, rel=1e-12)
+        )
+
     def test_invalid_batch_is_event_not_crash(self, random_graph):
         session = GraphSession(random_graph)
         loop = ServeLoop(session, mutation_mode="strict")
