@@ -957,7 +957,8 @@ def cmd_profile(args) -> int:
         table.add_row(["iterations", summary["iterations"]])
     if "total_seconds" in summary:
         table.add_row(["simulated time", format_seconds(summary["total_seconds"])])
-    table.add_row(["kernel launches", metric_value("gpusim.kernel_launches")])
+    if "kernel_launches" in summary:
+        table.add_row(["kernel launches", summary["kernel_launches"]])
     table.add_row(["simulated cycles", metric_value("gpusim.simulated_cycles")])
     table.add_row(["edges scanned", metric_value("frame.edges_scanned")])
     table.add_row(["decisions recorded", len(manifest.decisions)])

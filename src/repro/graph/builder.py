@@ -140,10 +140,7 @@ def from_edge_list(
 
     if dedupe and src.size:
         # Sort by (u, v, w) so the first of each (u, v) run has min weight.
-        if w is not None:
-            order = np.lexsort((w, dst, src))
-        else:
-            order = np.lexsort((dst, src))
+        order = _edge_order(src, dst, n, w)
         src, dst = src[order], dst[order]
         if w is not None:
             w = w[order]
@@ -158,13 +155,34 @@ def from_edge_list(
     # CSR assembly: canonical (source, target) order — adjacency lists
     # come out sorted, which makes graph equality well-defined and keeps
     # the coalescing model's "contiguous segment" assumption honest.
-    order = np.lexsort((dst, src))
+    order = _edge_order(src, dst, n)
     col_indices = dst[order].astype(INDEX_DTYPE)
     out_weights = w[order] if w is not None else None
     counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
     row_offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=row_offsets[1:])
     return CSRGraph(row_offsets, col_indices, out_weights, name=name)
+
+
+def _edge_order(
+    src: np.ndarray, dst: np.ndarray, n: int, w: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The stable permutation sorting edges by ``(src, dst[, w])``.
+
+    Equal to ``np.lexsort((dst, src))`` (``np.lexsort((w, dst, src))``
+    with *w*) but about twice as fast: one stable sort of the int64 key
+    ``src * n + dst`` (after a stable sort by *w*, which then breaks
+    ties).  Falls back to ``lexsort`` when the key could overflow.
+    """
+    if n * n > np.iinfo(np.int64).max:
+        return np.lexsort((dst, src) if w is None else (w, dst, src))
+    key = src * n
+    key += dst
+    if w is None:
+        return key.argsort(kind="stable")
+    by_w = w.argsort(kind="stable")
+    key = key.take(by_w)
+    return by_w.take(key.argsort(kind="stable"))
 
 
 def from_coo(

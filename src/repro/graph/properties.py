@@ -121,27 +121,16 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
 def _ragged_gather_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Indices covering ``[starts[i], ends[i])`` for all i, concatenated.
 
-    Vectorized replacement for ``np.concatenate([np.arange(s, e) ...])``.
-    Zero-length segments are skipped (they would otherwise corrupt the
-    difference-encoding trick below).
+    Vectorized replacement for ``np.concatenate([np.arange(s, e) ...])``:
+    every output slot holds its segment's start shifted by the segment's
+    offset in the output, plus the slot's own position.  Zero-length
+    segments are repeated zero times, so they contribute nothing.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    lengths = ends - starts
-    nonzero = lengths > 0
-    if not nonzero.all():
-        starts, ends, lengths = starts[nonzero], ends[nonzero], lengths[nonzero]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Difference encoding: ones everywhere, with each segment's first slot
-    # holding the jump from the previous segment's last index.
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(lengths)[:-1]
-    if boundaries.size:
-        out[boundaries] = starts[1:] - (ends[:-1] - 1)
-    return np.cumsum(out)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    idx = (starts - (lengths.cumsum() - lengths)).repeat(lengths)
+    idx += np.arange(idx.size)
+    return idx
 
 
 def reachable_count(graph: CSRGraph, source: int) -> int:

@@ -58,6 +58,18 @@ class StepResult:
     processed: int
 
 
+#: Dense edge sweep once the frontier's out-edges exceed this share of
+#: |E|: sweeping every edge in CSR order then costs less than building
+#: the ragged edge index (DESIGN.md §6).
+_DENSE_EDGE_SHARE = 0.4
+#: Sort-based apply while ``touched * _SPARSE_APPLY_FACTOR < |V|``; above
+#: it one O(|V|) ``minimum.at`` pass is cheaper than O(k log k) sorting.
+_SPARSE_APPLY_FACTOR = 16
+#: BFS candidate of a non-frontier source on the dense sweep: it can
+#: never improve a level.
+_LEVEL_SENTINEL = np.iinfo(np.int64).max
+
+
 def _gather_edges(graph: CSRGraph, nodes: np.ndarray):
     """Edge indices, destinations and per-node degrees for *nodes*."""
     starts = graph.row_offsets[nodes]
@@ -65,6 +77,78 @@ def _gather_edges(graph: CSRGraph, nodes: np.ndarray):
     degrees = (ends - starts).astype(np.int64)
     idx = _ragged_gather_indices(starts, ends)
     return idx, graph.col_indices[idx].astype(np.int64), degrees
+
+
+def _sweep(graph: CSRGraph, frontier: np.ndarray, per_frontier: np.ndarray, sentinel):
+    """The frontier's out-edges as ``(edges, dst, src_values, degrees, total)``.
+
+    ``src_values`` repeats each frontier node's entry of *per_frontier*
+    once per out-edge; ``edges`` selects the swept edges of the CSR
+    arrays.  Sparse path: a ragged edge index.  Dense path (the frontier
+    owns most edges): ``slice(None)`` over every edge in CSR order, with
+    non-frontier sources carrying *sentinel*.  The dense path needs
+    strictly increasing frontier ids (a duplicate would count its edges
+    once instead of twice), so any other frontier takes the sparse path.
+    """
+    starts = graph.row_offsets[frontier]
+    ends = graph.row_offsets[frontier + 1]
+    degrees = ends - starts
+    total = int(degrees.sum())
+    if (
+        total > _DENSE_EDGE_SHARE * graph.num_edges
+        and (frontier[1:] > frontier[:-1]).all()
+    ):
+        per_node = np.full(graph.num_nodes, sentinel, dtype=per_frontier.dtype)
+        per_node[frontier] = per_frontier
+        src = per_node.repeat(graph.out_degrees)
+        return slice(None), graph.col_indices, src, degrees, total
+    edges = _ragged_gather_indices(starts, ends)
+    src = per_frontier.repeat(degrees)
+    return edges, graph.col_indices.take(edges), src, degrees, total
+
+
+def _apply_min(values: np.ndarray, dst: np.ndarray, cand: np.ndarray, unset) -> np.ndarray:
+    """``values[d] = min(values[d], cand)`` per destination, with *unset*
+    ranking above every candidate; returns the sorted int64 ids whose
+    value changed.  The per-destination min does not depend on the
+    order of the candidates, so both paths give identical values (and
+    the sort need not be stable)."""
+    if dst.size * _SPARSE_APPLY_FACTOR < values.size:
+        order = dst.argsort()
+        dst = dst.take(order)
+        first = np.empty(dst.size, dtype=bool)
+        first[0] = True
+        np.not_equal(dst[1:], dst[:-1], out=first[1:])
+        heads = first.nonzero()[0]
+        ids = dst.take(heads).astype(np.int64)
+        best = np.minimum.reduceat(cand.take(order), heads)
+        old = values.take(ids)
+        changed = (best < old) | (old == unset)
+        if not changed.all():
+            ids, best = ids[changed], best[changed]
+        values[ids] = best
+        return ids
+    if values.dtype.kind == "f":
+        work = values  # unset is +inf, already above every candidate
+        before = values.copy()
+    else:
+        work = np.where(values == unset, np.iinfo(values.dtype).max, values)
+        before = work.copy()
+    np.minimum.at(work, dst, cand)
+    updated = (work < before).nonzero()[0]
+    if work is not values:
+        values[updated] = work.take(updated)
+    return updated
+
+
+def _relax(values, dst, cand, improving, degrees, total, unset):
+    """Shared tail: one selection of the improving edges, then apply."""
+    pos = improving.nonzero()[0]
+    if pos.size:
+        updated = _apply_min(values, dst.take(pos), cand.take(pos), unset)
+    else:
+        updated = np.empty(0, dtype=np.int64)
+    return updated, degrees, int(pos.size), total
 
 
 # ----------------------------------------------------------------------
@@ -86,29 +170,16 @@ def bfs_relax(
     ``(updated_ids, degrees, improved_count, edges_scanned)``.  Shared by
     the simulated GPU kernels and the hybrid runtime's CPU iterations.
     """
-    idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(levels[frontier] + 1, degrees)
-
-    old = levels[dst]
-    if ordered:
-        improving = old == UNSET_LEVEL
-    else:
-        improving = (old == UNSET_LEVEL) | (cand < old)
-    improved_count = int(improving.sum())
-    touched = dst[improving]
-    if touched.size:
-        # Apply the minimum candidate per destination; UNSET maps to +inf
-        # so first touches and improvements are handled uniformly.
-        big = np.iinfo(np.int64).max
-        before = np.where(levels == UNSET_LEVEL, big, levels)
-        work = before.copy()
-        np.minimum.at(work, touched, cand[improving])
-        changed = work < before
-        levels[changed] = work[changed]
-        updated = np.flatnonzero(changed).astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
-    return updated, degrees, improved_count, int(idx.size)
+    edges, dst, cand, degrees, total = _sweep(
+        graph, frontier, levels[frontier] + 1, _LEVEL_SENTINEL
+    )
+    old = levels.take(dst)
+    improving = old == UNSET_LEVEL
+    if isinstance(edges, slice):
+        improving &= cand != _LEVEL_SENTINEL
+    if not ordered:
+        improving |= cand < old
+    return _relax(levels, dst, cand, improving, degrees, total, UNSET_LEVEL)
 
 
 def bfs_step(
@@ -162,19 +233,10 @@ def sssp_relax(graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray):
     Mutates *dist* in place and returns
     ``(updated_ids, degrees, improved_count, edges_scanned)``.
     """
-    idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(dist[frontier], degrees) + graph.weights[idx]
-
-    improving = cand < dist[dst]
-    improved_count = int(improving.sum())
-    touched = dst[improving]
-    if touched.size:
-        before = dist.copy()
-        np.minimum.at(dist, touched, cand[improving])
-        updated = np.flatnonzero(dist < before).astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
-    return updated, degrees, improved_count, int(idx.size)
+    edges, dst, cand, degrees, total = _sweep(graph, frontier, dist[frontier], INF)
+    weights = graph.weights
+    cand += weights[edges] if isinstance(edges, slice) else weights.take(edges)
+    return _relax(dist, dst, cand, cand < dist.take(dst), degrees, total, INF)
 
 
 def sssp_step(

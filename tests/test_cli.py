@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import registered_algorithms
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
 from repro.graph.io import write_dimacs
 
@@ -535,6 +536,39 @@ class TestProfile:
         from repro.obs import RunManifest
 
         assert RunManifest.read(out).algorithm == "sssp"
+
+    @pytest.mark.parametrize(
+        "algorithm", [info.name for info in registered_algorithms()]
+    )
+    def test_launch_row_is_the_timeline_count(self, algorithm, tmp_path,
+                                              capsys, monkeypatch):
+        """The printed launch count, the manifest's and the Timeline's
+        are one number for every registry algorithm."""
+        import re
+
+        import repro.obs
+        from repro.obs import RunManifest
+
+        results = []
+        real_build = repro.obs.build_manifest
+
+        def capture(result, **kwargs):
+            results.append(result)
+            return real_build(result, **kwargs)
+
+        monkeypatch.setattr(repro.obs, "build_manifest", capture)
+        out = tmp_path / "manifest.json"
+        rc = main(["profile", self.EXAMPLE, "--algorithm", algorithm,
+                   "--out", str(out)])
+        assert rc == 0
+        row = re.search(r"kernel launches \|\s+(\d+)", capsys.readouterr().out)
+        assert row, "profile table lost its kernel launches row"
+        (result,) = results
+        traversal = getattr(result, "traversal", None) or result
+        launches = traversal.timeline.num_launches
+        assert launches > 0
+        assert int(row.group(1)) == launches
+        assert RunManifest.read(out).result["kernel_launches"] == launches
 
     def test_help_matches_docs(self, capsys, monkeypatch):
         """The --help text pasted into docs/observability.md is current."""

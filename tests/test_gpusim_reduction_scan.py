@@ -3,14 +3,15 @@ repro.gpusim.transfer and repro.gpusim.timeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.device import TESLA_C2070
-from repro.gpusim.kernel import CostModel, KernelTally
+from repro.gpusim.kernel import CostModel, KernelCost, KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.reduction import plan_reduction, reduce_min, reduction_tallies
 from repro.gpusim.scan import exclusive_scan, scan_tallies
-from repro.gpusim.timeline import Timeline
-from repro.gpusim.transfer import record_transfer, transfer_seconds
+from repro.gpusim.timeline import KernelRecord, Timeline
+from repro.gpusim.transfer import TransferRecord, record_transfer, transfer_seconds
 
 
 class TestReduction:
@@ -139,3 +140,68 @@ class TestTimeline:
             tally, cost = self._kernel()
             tl.add_kernel(it, tally, cost)
         assert list(tl.iter_iterations()) == [0, 1, 2]
+
+
+class TestTimelineRunningTotals:
+    """The O(1) totals equal the ``sum()`` over the records, bit for bit."""
+
+    @staticmethod
+    def _cost(seconds):
+        return KernelCost(
+            name="k", seconds=seconds, issue_seconds=0.0, memory_seconds=0.0,
+            atomic_seconds=0.0, launch_overhead_seconds=0.0,
+            latency_penalty=0.0, occupancy=1.0,
+        )
+
+    @staticmethod
+    def _assert_totals(tl):
+        gpu = sum(k.seconds for k in tl.kernels)
+        transfer = sum(t.seconds for t in tl.transfers)
+        assert float(tl.gpu_seconds).hex() == float(gpu).hex()
+        assert float(tl.transfer_seconds).hex() == float(transfer).hex()
+        assert float(tl.total_seconds).hex() == float(
+            gpu + transfer + tl.host_seconds
+        ).hex()
+
+    _seconds = st.floats(
+        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+    ) | st.sampled_from([0.0, 1e-16, 3e-6, 0.1, 1e8, 1e16])
+
+    @given(st.lists(st.tuples(st.booleans(), _seconds), max_size=60),
+           st.lists(_seconds, max_size=5), st.lists(_seconds, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_totals_equal_sum_after_every_add(self, adds, seed_k, seed_t):
+        tally = KernelTally(name="k", launch=LaunchConfig(1, 32))
+        for tl in (
+            Timeline(),
+            Timeline(
+                kernels=[KernelRecord(0, tally, self._cost(s)) for s in seed_k],
+                transfers=[TransferRecord("h2d", 8, s) for s in seed_t],
+                host_seconds=0.25,
+            ),
+        ):
+            self._assert_totals(tl)
+            for is_kernel, seconds in adds:
+                if is_kernel:
+                    tl.add_kernel(1, tally, self._cost(seconds))
+                else:
+                    tl.add_transfer(TransferRecord("d2h", 8, seconds))
+                self._assert_totals(tl)
+
+    def test_cancellation_heavy_sequence(self):
+        # Large and tiny terms: where a compensated sum() and a naive
+        # running total would part ways.
+        tally = KernelTally(name="k", launch=LaunchConfig(1, 32))
+        tl = Timeline()
+        for seconds in (1.0, 1e100, 1.0, 1e-100, 3.0, 1e100):
+            tl.add_kernel(0, tally, self._cost(seconds))
+            self._assert_totals(tl)
+
+    def test_totals_not_part_of_eq_or_repr(self):
+        tally = KernelTally(name="k", launch=LaunchConfig(1, 32))
+        a = Timeline()
+        a.add_kernel(0, tally, self._cost(0.5))
+        b = Timeline(kernels=list(a.kernels))
+        assert a == b
+        assert repr(a) == repr(b)
+        assert "_gpu" not in repr(a) and "_transfer" not in repr(a)

@@ -102,3 +102,74 @@ class TestNetworkxRoundtrip:
         nxg = nx.path_graph(4)
         g = from_networkx(nxg)
         assert g.num_edges == 6  # 3 undirected edges -> 6 arcs
+
+
+# ----------------------------------------------------------------------
+# The key sort in from_edge_list is lexsort's permutation, exactly.
+# ----------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from repro.graph.builder import _edge_order
+from repro.obs.manifest import graph_fingerprint
+
+
+@st.composite
+def _edges_with_weights(draw):
+    """Edge lists rich in duplicate (u, v) pairs, with tied and untied
+    weights (including +0.0 and -0.0, which compare equal)."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 60))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    w = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, 7.0]),
+                      min_size=m, max_size=m))
+    return n, np.array(src, np.int64), np.array(dst, np.int64), np.array(w, np.float32)
+
+
+def _lexsort_build(src, dst, w, n, dedupe):
+    """CSR arrays as assembled with np.lexsort."""
+    if dedupe and src.size:
+        order = np.lexsort((w, dst, src))
+        src, dst, w = src[order], dst[order], w[order]
+        first = np.ones(src.size, dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst, w = src[first], dst[first], w[first]
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[order].astype(np.int32), w[order]
+
+
+class TestEdgeOrder:
+    @given(_edges_with_weights())
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_equals_lexsort(self, case):
+        n, src, dst, w = case
+        np.testing.assert_array_equal(_edge_order(src, dst, n), np.lexsort((dst, src)))
+        np.testing.assert_array_equal(
+            _edge_order(src, dst, n, w), np.lexsort((w, dst, src))
+        )
+
+    @given(_edges_with_weights(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_csr_arrays_and_digest_unchanged(self, case, dedupe):
+        n, src, dst, w = case
+        graph = from_edge_list(src, dst, w, num_nodes=n, dedupe=dedupe)
+        offsets, cols, weights = _lexsort_build(src, dst, w, n, dedupe)
+        np.testing.assert_array_equal(graph.row_offsets, offsets)
+        assert graph.col_indices.tobytes() == cols.tobytes()
+        assert graph.weights.tobytes() == weights.tobytes()
+        want = type(graph)(offsets, cols, weights, name=graph.name)
+        assert graph_fingerprint(graph) == graph_fingerprint(want)
+
+    def test_overflowing_key_falls_back_to_lexsort(self):
+        n = 2**32  # n * n exceeds int64: the key src * n + dst would wrap
+        src = np.array([n - 1, 0, n - 1, 5, 0], dtype=np.int64)
+        dst = np.array([3, n - 1, 2, 5, n - 1], dtype=np.int64)
+        w = np.array([1.0, 2.0, 0.5, 1.0, 1.0], dtype=np.float32)
+        np.testing.assert_array_equal(_edge_order(src, dst, n), np.lexsort((dst, src)))
+        np.testing.assert_array_equal(
+            _edge_order(src, dst, n, w), np.lexsort((w, dst, src))
+        )

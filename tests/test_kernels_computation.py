@@ -157,3 +157,296 @@ class TestOrderedSssp:
         )
         assert step.settled == 0
         assert state.dist[1] == 0.5  # untouched
+
+
+# ----------------------------------------------------------------------
+# Differential relax tests: the size-switched relax core against the
+# straightforward formulation it replaced (kept below as the oracle).
+# ----------------------------------------------------------------------
+
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
+
+from repro.graph.builder import from_edge_list
+from repro.graph.partition import partition_graph
+from repro.kernels import computation
+from repro.kernels.computation import bfs_relax, sssp_relax
+
+
+def _oracle_gather(graph, nodes):
+    starts = graph.row_offsets[nodes]
+    ends = graph.row_offsets[nodes + 1]
+    degrees = (ends - starts).astype(np.int64)
+    if degrees.sum():
+        idx = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
+    else:
+        idx = np.empty(0, dtype=np.int64)
+    return idx, graph.col_indices[idx].astype(np.int64), degrees
+
+
+def oracle_bfs_relax(graph, frontier, levels, *, ordered=False):
+    idx, dst, degrees = _oracle_gather(graph, frontier)
+    cand = np.repeat(levels[frontier] + 1, degrees)
+    old = levels[dst]
+    if ordered:
+        improving = old == UNSET_LEVEL
+    else:
+        improving = (old == UNSET_LEVEL) | (cand < old)
+    improved_count = int(improving.sum())
+    touched = dst[improving]
+    if touched.size:
+        big = np.iinfo(np.int64).max
+        before = np.where(levels == UNSET_LEVEL, big, levels)
+        work = before.copy()
+        np.minimum.at(work, touched, cand[improving])
+        changed = work < before
+        levels[changed] = work[changed]
+        updated = np.flatnonzero(changed).astype(np.int64)
+    else:
+        updated = np.empty(0, dtype=np.int64)
+    return updated, degrees, improved_count, int(idx.size)
+
+
+def oracle_sssp_relax(graph, frontier, dist):
+    idx, dst, degrees = _oracle_gather(graph, frontier)
+    cand = np.repeat(dist[frontier], degrees) + graph.weights[idx]
+    improving = cand < dist[dst]
+    improved_count = int(improving.sum())
+    touched = dst[improving]
+    if touched.size:
+        before = dist.copy()
+        np.minimum.at(dist, touched, cand[improving])
+        updated = np.flatnonzero(dist < before).astype(np.int64)
+    else:
+        updated = np.empty(0, dtype=np.int64)
+    return updated, degrees, improved_count, int(idx.size)
+
+
+def _assert_identical(a, b):
+    """Arrays equal in dtype, shape and bit pattern (so -0.0 != 0.0)."""
+    assert a.dtype == b.dtype
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def check_bfs(graph, frontier, levels, *, ordered=False):
+    frontier = np.asarray(frontier, dtype=np.int64)
+    got_levels, want_levels = levels.copy(), levels.copy()
+    got = bfs_relax(graph, frontier, got_levels, ordered=ordered)
+    want = oracle_bfs_relax(graph, frontier, want_levels, ordered=ordered)
+    _assert_identical(got_levels, want_levels)
+    _assert_identical(got[0], want[0])
+    _assert_identical(got[1], want[1])
+    assert type(got[2]) is int and got[2] == want[2]
+    assert type(got[3]) is int and got[3] == want[3]
+    return got
+
+
+def check_sssp(graph, frontier, dist):
+    frontier = np.asarray(frontier, dtype=np.int64)
+    got_dist, want_dist = dist.copy(), dist.copy()
+    got = sssp_relax(graph, frontier, got_dist)
+    want = oracle_sssp_relax(graph, frontier, want_dist)
+    _assert_identical(got_dist, want_dist)
+    _assert_identical(got[0], want[0])
+    _assert_identical(got[1], want[1])
+    assert type(got[2]) is int and got[2] == want[2]
+    assert type(got[3]) is int and got[3] == want[3]
+    return got
+
+
+def _is_dense(graph, frontier):
+    """Whether the relax core sweeps every edge for *frontier*."""
+    frontier = np.asarray(frontier, dtype=np.int64)
+    values = np.zeros(graph.num_nodes, dtype=np.int64)
+    edges = computation._sweep(graph, frontier, values[frontier], 0)[0]
+    return isinstance(edges, slice)
+
+
+@st.composite
+def relax_cases(draw):
+    """A small weighted multigraph (self-loops, duplicate edges with
+    distinct weights, zero weights, isolated nodes), a partial BFS/SSSP
+    state and a frontier (sorted unique, or raw with repeats)."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 80))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.25]),
+                      min_size=m, max_size=m))
+    graph = from_edge_list(src, dst, w, num_nodes=n)
+    levels = np.array(
+        draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n)), dtype=np.int64
+    )
+    dist = np.array(
+        draw(st.lists(st.sampled_from([np.inf, 0.0, 1.0, 2.5, 4.0, 9.0]),
+                      min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    raw = draw(st.lists(node, min_size=0, max_size=2 * n))
+    frontier = raw if draw(st.booleans()) else sorted(set(raw))
+    return graph, frontier, levels, dist
+
+
+class TestRelaxDifferential:
+    @given(relax_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_bfs(self, case, ordered):
+        graph, frontier, levels, _ = case
+        check_bfs(graph, frontier, levels, ordered=ordered)
+
+    @given(relax_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_sssp(self, case):
+        graph, frontier, _, dist = case
+        check_sssp(graph, frontier, dist)
+
+    def _both(self, graph, frontier, source=None):
+        n = graph.num_nodes
+        src = frontier[0] if source is None else source
+        for ordered in (False, True):
+            check_bfs(graph, frontier, fresh_levels(n, src), ordered=ordered)
+        if graph.weights is not None:
+            check_sssp(graph, frontier, fresh_dist(n, src))
+
+    def test_empty_frontier_neighbourhood(self):
+        # Frontier nodes with no out-edges at all.
+        graph = from_edge_list([0, 1], [1, 2], [1.0, 1.0], num_nodes=6)
+        self._both(graph, [3, 4, 5])
+        self._both(graph, [2])
+        self._both(graph, [], source=0)
+
+    def test_isolated_nodes_and_edgeless_graph(self):
+        graph = from_edge_list([], [], [], num_nodes=5)
+        self._both(graph, [0, 1, 2, 3, 4])
+
+    def test_self_loops(self):
+        graph = from_edge_list([0, 0, 1, 1, 2], [0, 1, 1, 2, 2],
+                               [1.0, 2.0, 0.0, 3.0, 1.0], num_nodes=3)
+        self._both(graph, [0])
+        self._both(graph, [0, 1, 2])
+
+    def test_duplicate_edges_with_different_weights(self):
+        graph = from_edge_list([0, 0, 0, 1, 1], [1, 1, 1, 2, 2],
+                               [5.0, 2.0, 9.0, 0.0, 4.0], num_nodes=3)
+        self._both(graph, [0])
+        self._both(graph, [0, 1])
+
+    def test_zero_weight_edges(self):
+        graph = from_edge_list([0, 1, 2, 0], [1, 2, 3, 3],
+                               [0.0, 0.0, 0.0, 0.0], num_nodes=4)
+        self._both(graph, [0])
+        self._both(graph, [0, 1, 2])
+
+    def test_star_hub_far_above_warp_size(self):
+        graph = attach_uniform_weights(star_graph(1000), seed=2)
+        self._both(graph, [0])
+        levels = fresh_levels(1000, 0)
+        levels[1:500] = 1
+        check_bfs(graph, np.arange(1, 1000), levels)
+
+    def test_long_chain(self):
+        graph = attach_uniform_weights(chain_graph(5000), seed=3)
+        self._both(graph, [0])
+        self._both(graph, [2500])
+        self._both(graph, np.arange(0, 5000, 7))
+
+    def test_shard_view_with_padded_rows(self):
+        base = from_edge_list(
+            np.concatenate([np.arange(300), [0, 5, 9]]),
+            np.concatenate([(np.arange(300) + 1) % 300, [7, 5, 250]]),
+            np.arange(303, dtype=np.float64) % 11,
+            num_nodes=300,
+        )
+        n = base.num_nodes
+        for shard in partition_graph(base, 3):
+            view = shard.view(n)
+            owned = np.arange(shard.start, shard.stop)
+            # Global frontiers straddling the padded zero-degree rows.
+            for frontier in (owned, np.arange(n), owned[:3], np.array([0, n - 1])):
+                self._both(view, frontier, source=int(frontier[0]))
+                dist = np.linspace(0.0, 50.0, n)
+                check_sssp(view, frontier, dist)
+
+    def test_dense_cut_boundary(self):
+        # A directed chain: a k-node frontier owns k of its 1000 edges.
+        graph = from_edge_list(np.arange(1000), np.arange(1, 1001),
+                               np.arange(1000) % 4, num_nodes=1001)
+        cut = int(computation._DENSE_EDGE_SHARE * graph.num_edges)
+        below, above = np.arange(cut), np.arange(cut + 1)
+        assert not _is_dense(graph, below)
+        assert _is_dense(graph, above)
+        for frontier in (below, above):
+            levels = fresh_levels(1001, 0)
+            levels[frontier] = frontier % 3
+            check_bfs(graph, frontier, levels)
+            check_bfs(graph, frontier, levels, ordered=True)
+            dist = np.full(1001, INF)
+            dist[frontier] = frontier * 0.5
+            check_sssp(graph, frontier, dist)
+
+    def test_sparse_apply_cut_boundary(self):
+        n = 1600
+        for touched in (99, 100, 101):
+            # Hub 0 reaches exactly *touched* fresh nodes; the rest of
+            # the graph is a chain so the dense sweep stays off.
+            src = np.concatenate([np.zeros(touched, np.int64), np.arange(1, n - 1)])
+            dst = np.concatenate([np.arange(1, touched + 1), np.arange(2, n)])
+            w = (np.arange(src.size) % 5).astype(np.float64)
+            graph = from_edge_list(src, dst, w, num_nodes=n)
+            sparse = touched * computation._SPARSE_APPLY_FACTOR < n
+            assert sparse == (touched < 100)
+            updated = check_bfs(graph, [0], fresh_levels(n, 0))[0]
+            assert updated.size == touched
+            check_bfs(graph, [0], fresh_levels(n, 0), ordered=True)
+            check_sssp(graph, [0], fresh_dist(n, 0))
+
+    def test_unsorted_and_duplicate_frontiers_fall_back(self):
+        graph = attach_uniform_weights(chain_graph(50), seed=6)
+        everything = np.arange(50)
+        for frontier in (everything[::-1], np.concatenate([everything, everything]),
+                         np.array([3, 3, 4, 5, 6])):
+            assert not _is_dense(graph, frontier)
+            levels = fresh_levels(50, 0)
+            levels[frontier] = 1
+            check_bfs(graph, frontier, levels)
+            check_bfs(graph, frontier, levels, ordered=True)
+            check_sssp(graph, frontier, np.where(np.isin(everything, frontier), 1.0, INF))
+        assert _is_dense(graph, everything)
+
+
+class TestRelaxComplexity:
+    """A 1-node frontier relax allocates O(degree), not O(|V|)."""
+
+    N = 200_000
+    LIMIT = 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return attach_uniform_weights(chain_graph(self.N), seed=7)
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_bfs_single_node_frontier(self, chain):
+        levels = fresh_levels(self.N, self.N // 2)
+        frontier = np.array([self.N // 2], dtype=np.int64)
+        peak = self._peak(lambda: bfs_relax(chain, frontier, levels))
+        assert levels[self.N // 2 + 1] == 1
+        assert peak < self.LIMIT, f"peak {peak} B for a 1-node frontier"
+
+    def test_sssp_single_node_frontier(self, chain):
+        dist = fresh_dist(self.N, self.N // 2)
+        frontier = np.array([self.N // 2], dtype=np.int64)
+        peak = self._peak(lambda: sssp_relax(chain, frontier, dist))
+        assert np.isfinite(dist[self.N // 2 + 1])
+        assert peak < self.LIMIT, f"peak {peak} B for a 1-node frontier"
